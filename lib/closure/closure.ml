@@ -246,98 +246,66 @@ let load_verified ~key ~env ~select =
                   Cert_store.quarantine key;
                   None)))
 
-let tau_member ?node_limit ~op task ~sigma ~tau =
-  Complex.mem tau (Task.delta task sigma)
-  ||
-  let compute () = fst (compute_member ?node_limit ~op task ~sigma ~tau) in
-  if not (store_ready op task) then compute ()
+(* The store slot of one membership query (σ, τ) under [op]: the
+   verified stored (member, witness) pair, if any, and the writer for a
+   freshly decided one.  Without a usable store there is nothing to
+   read and the writer does nothing. *)
+let member_slot ~op task ~sigma ~tau =
+  if not (store_ready op task) then (None, fun ~member:_ ~witness:_ -> ())
   else
-    let op_name = Round_op.name op in
-    let key =
-      Cert.query_key
-        (Cert.Q_member { op_name; task_name = task.Task.name; sigma; tau })
-    in
-    let env = live_env ~op_name ~facets:(Round_op.facets op) task in
+    let op_name = Round_op.name op and task_name = task.Task.name in
+    let key = Cert.query_key (Cert.Q_member { op_name; task_name; sigma; tau }) in
     let select = function
       | Cert.Membership m
         when m.Cert.op_name = op_name
-             && m.Cert.task_name = task.Task.name
-             && Simplex.equal m.Cert.sigma sigma
-             && Simplex.equal m.Cert.tau tau ->
-          Some m.Cert.member
-      | _ -> None
-    in
-    match load_verified ~key ~env ~select with
-    | Some member -> member
-    | None ->
-        let member, witness = compute_member ?node_limit ~op task ~sigma ~tau in
-        Cert_store.save ~key
-          (Cert.encode
-             (Cert.Membership
-                {
-                  op_name;
-                  task_name = task.Task.name;
-                  sigma;
-                  tau;
-                  member;
-                  witness;
-                }));
-        member
-
-let witness ?node_limit ~op task ~sigma ~tau =
-  let compute () =
-    match
-      Solvability.local_task_solvable ?node_limit
-        ~one_round:(Round_op.facets op) task ~sigma ~tau
-    with
-    | Solvability.Solvable f -> Some f
-    | Solvability.Undecided -> None
-    | Solvability.Unsolvable ->
-        (* The search may be vacuously unsolvable only because τ was not
-           a legal chromatic set; tau_member's zero-round shortcut case
-           (τ ∈ Δ(σ)) is always solvable, so reaching here with a Δ(σ)
-           member cannot happen: the CSP covers that map too. *)
-        None
-  in
-  if not (store_ready op task) then compute ()
-  else
-    let op_name = Round_op.name op in
-    let key =
-      Cert.query_key
-        (Cert.Q_member { op_name; task_name = task.Task.name; sigma; tau })
-    in
-    let env = live_env ~op_name ~facets:(Round_op.facets op) task in
-    let select = function
-      | Cert.Membership m
-        when m.Cert.op_name = op_name
-             && m.Cert.task_name = task.Task.name
+             && m.Cert.task_name = task_name
              && Simplex.equal m.Cert.sigma sigma
              && Simplex.equal m.Cert.tau tau ->
           Some (m.Cert.member, m.Cert.witness)
       | _ -> None
     in
-    match load_verified ~key ~env ~select with
-    | Some (true, (Some _ as w)) -> w
-    | Some (false, _) -> None
-    | Some (true, None) | None ->
-        (* No usable stored witness (zero-round entries have none):
-           compute, and persist the result when it is decisive. *)
-        let result = compute () in
-        (match result with
-        | Some f ->
-            Cert_store.save ~key
-              (Cert.encode
-                 (Cert.Membership
-                    {
-                      op_name;
-                      task_name = task.Task.name;
-                      sigma;
-                      tau;
-                      member = true;
-                      witness = Some f;
-                    }))
-        | None -> ());
-        result
+    let env = live_env ~op_name ~facets:(Round_op.facets op) task in
+    let save ~member ~witness =
+      Cert_store.save ~key
+        (Cert.encode
+           (Cert.Membership { op_name; task_name; sigma; tau; member; witness }))
+    in
+    (load_verified ~key ~env ~select, save)
+
+let tau_member ?node_limit ~op task ~sigma ~tau =
+  Complex.mem tau (Task.delta task sigma)
+  ||
+  match member_slot ~op task ~sigma ~tau with
+  | Some (member, _), _ -> member
+  | None, save ->
+      let member, witness = compute_member ?node_limit ~op task ~sigma ~tau in
+      save ~member ~witness;
+      member
+
+let witness ?node_limit ~op task ~sigma ~tau =
+  match member_slot ~op task ~sigma ~tau with
+  | Some (true, (Some _ as w)), _ -> w
+  | Some (false, _), _ -> None
+  | (Some (true, None) | None), save ->
+      (* No usable stored witness (zero-round entries have none):
+         compute, and persist the result when it is decisive. *)
+      let result =
+        match
+          Solvability.local_task_solvable ?node_limit
+            ~one_round:(Round_op.facets op) task ~sigma ~tau
+        with
+        | Solvability.Solvable f -> Some f
+        | Solvability.Undecided -> None
+        | Solvability.Unsolvable ->
+            (* The search may be vacuously unsolvable only because τ was
+               not a legal chromatic set; tau_member's zero-round
+               shortcut case (τ ∈ Δ(σ)) is always solvable, so reaching
+               here with a Δ(σ) member cannot happen: the CSP covers
+               that map too. *)
+            None
+      in
+      Option.iter (fun f -> save ~member:true ~witness:(Some f)) result;
+      result
 
 (* ---- Δ' enumeration ---- *)
 

@@ -8,128 +8,120 @@ let is_solvable = function
   | Solvable _ -> true
   | Unsolvable | Undecided -> false
 
-(* Variable and candidate bookkeeping: protocol vertices become CSP
-   variables; output vertices of the same color become candidates. *)
-
-type tables = {
-  var_of : int Vertex.Tbl.t;
-  mutable vars : Vertex.t list;  (* reverse order of allocation *)
-  mutable num_vars : int;
-  cand_of : (int, int Vertex.Tbl.t) Hashtbl.t;  (* color -> vertex -> index *)
-  cands : (int, Vertex.t list ref) Hashtbl.t;   (* color -> reverse list *)
-}
-
-let fresh_tables () =
-  {
-    var_of = Vertex.Tbl.create 256;
-    vars = [];
-    num_vars = 0;
-    cand_of = Hashtbl.create 16;
-    cands = Hashtbl.create 16;
-  }
-
-let var_id tb v =
-  match Vertex.Tbl.find_opt tb.var_of v with
-  | Some id -> id
-  | None ->
-      let id = tb.num_vars in
-      Vertex.Tbl.add tb.var_of v id;
-      tb.vars <- v :: tb.vars;
-      tb.num_vars <- id + 1;
-      id
-
-let color_tables tb color =
-  match Hashtbl.find_opt tb.cand_of color with
-  | Some t -> (t, Hashtbl.find tb.cands color)
-  | None ->
-      let t = Vertex.Tbl.create 64 and l = ref [] in
-      Hashtbl.add tb.cand_of color t;
-      Hashtbl.add tb.cands color l;
-      (t, l)
-
-let cand_index tb v =
-  let t, l = color_tables tb (Vertex.color v) in
-  match Vertex.Tbl.find_opt t v with
-  | Some k -> k
-  | None ->
-      let k = Vertex.Tbl.length t in
-      Vertex.Tbl.add t v k;
-      l := v :: !l;
-      k
-
-let decide ?node_limit ?should_stop ~inputs ~protocol ~delta () =
-  let tb = fresh_tables () in
-  (* Pass 1a: build the per-input protocol complexes and Δ images.
-     These are independent and often the dominant cost (protocol
-     complexes grow exponentially in rounds), so the pass fans out
-     across the domain pool.  Registration stays sequential below, in
-     input order, so variable and candidate numbering — and hence the
-     whole CSP search — is identical at every job count. *)
-  let pairs = Pool.map (fun sigma -> (protocol sigma, delta sigma)) inputs in
-  (* Pass 1b: register candidates (all Δ vertices) and variables (all
-     protocol vertices). *)
-  let raw =
-    List.map
-      (fun (p, d) ->
-        List.iter (fun v -> ignore (cand_index tb v)) (Complex.vertices d);
-        List.iter (fun v -> ignore (var_id tb v)) (Complex.vertices p);
-        (p, d))
-      pairs
+(* CSP assembly, shared by [decide] and [local_task_solvable].  Each
+   input simplex contributes its protocol complex and its allowed rows:
+   for a color set, the output simplices with exactly those colors, as
+   rows of candidate numbers.  Protocol vertices become variables,
+   numbered in order of first appearance across the inputs; a
+   variable's candidates are the output vertices of its color, in the
+   caller's numbering.  Every protocol facet becomes a table constraint
+   on the rows of its color set, fetched once per input and color set;
+   a one-row unary table (a solo input with a single legal output) is
+   applied as a pin.  The search depends only on these numberings and
+   the constraint relations, so verdicts and witnesses do not depend on
+   the order in which constraints or rows are listed. *)
+let solve_instance ?node_limit ?should_stop ~candidates parts =
+  let var_of = Vertex.Tbl.create 256 and vars = ref [] in
+  List.iter
+    (fun (p, _) ->
+      List.iter
+        (fun v ->
+          if not (Vertex.Tbl.mem var_of v) then begin
+            Vertex.Tbl.add var_of v (Vertex.Tbl.length var_of);
+            vars := v :: !vars
+          end)
+        (Complex.vertices p))
+    parts;
+  let vars = Array.of_list (List.rev !vars) in
+  let csp =
+    Csp.create ~num_vars:(Array.length vars)
+      ~candidate_counts:
+        (Array.map (fun v -> Array.length (candidates (Vertex.color v))) vars)
   in
-  let counts = Array.make tb.num_vars 0 in
   List.iter
-    (fun v ->
-      let id = Vertex.Tbl.find tb.var_of v in
-      let t, _ = color_tables tb (Vertex.color v) in
-      counts.(id) <- Vertex.Tbl.length t)
-    tb.vars;
-  let csp = Csp.create ~num_vars:tb.num_vars ~candidate_counts:counts in
-  List.iter
-    (fun (p, d) ->
+    (fun (p, rows) ->
+      let tables = ref [] in
       List.iter
         (fun facet ->
-          let scope_vertices = Simplex.vertices facet in
-          let scope =
-            Array.of_list (List.map (fun v -> Vertex.Tbl.find tb.var_of v) scope_vertices)
-          in
-          let allowed = Complex.simplices_with_ids (Simplex.ids facet) d in
+          let ids = Simplex.ids facet in
           let tuples =
-            Array.of_list
-              (List.map
-                 (fun s ->
-                   Array.of_list
-                     (List.map (fun w -> cand_index tb w) (Simplex.vertices s)))
-                 allowed)
+            match List.assoc_opt ids !tables with
+            | Some t -> t
+            | None ->
+                let t = rows ids in
+                tables := (ids, t) :: !tables;
+                t
           in
-          Csp.add_table_constraint csp ~scope ~tuples)
+          let scope =
+            Array.of_list (List.map (Vertex.Tbl.find var_of) (Simplex.vertices facet))
+          in
+          match tuples with
+          | [| [| value |] |] when Array.length scope = 1 ->
+              Csp.pin csp ~var:scope.(0) ~value
+          | _ -> Csp.add_table_constraint csp ~scope ~tuples)
         (Complex.facets p))
-    raw;
+    parts;
   let result = Csp.solve ?node_limit ?should_stop csp in
   Log.debug (fun m ->
       let stats = Csp.last_stats csp in
       m "instance: %d inputs, %d variables; search: %d nodes, %d revisions"
-        (List.length inputs) tb.num_vars stats.Csp.nodes stats.Csp.revisions);
+        (List.length parts) (Array.length vars) stats.Csp.nodes stats.Csp.revisions);
   match result with
   | Csp.Unsat -> Unsolvable
   | Csp.Unknown -> Undecided
   | Csp.Sat assignment ->
-      (* Rebuild the vertex-level map from candidate indices. *)
-      let cand_arrays = Hashtbl.create 16 in
-      (Hashtbl.iter
-         (fun color l ->
-           let arr = Array.of_list (List.rev !l) in
-           Hashtbl.add cand_arrays color arr)
-         tb.cands
-       [@lint.allow "R2: builds a key-indexed copy; iteration order is irrelevant"]);
-      let pairs =
-        List.map
-          (fun v ->
-            let id = Vertex.Tbl.find tb.var_of v in
-            let arr = Hashtbl.find cand_arrays (Vertex.color v) in
-            (v, arr.(assignment.(id))))
-          tb.vars
-      in
-      Solvable (Simplicial_map.of_assoc pairs)
+      Solvable
+        (Simplicial_map.of_assoc
+           (Array.to_list
+              (Array.mapi
+                 (fun id v -> (v, (candidates (Vertex.color v)).(assignment.(id))))
+                 vars)))
+
+let decide ?node_limit ?should_stop ~inputs ~protocol ~delta () =
+  (* The per-input protocol complexes and Δ images are independent and
+     often the dominant cost (protocol complexes grow exponentially in
+     rounds), so this pass fans out across the domain pool.  Numbering
+     stays sequential below, in input order, so the CSP — and hence
+     the whole search — is identical at every job count. *)
+  let pairs = Pool.map (fun sigma -> (protocol sigma, delta sigma)) inputs in
+  (* Candidates: the Δ vertices of each color, numbered in order of
+     first appearance across the inputs. *)
+  let number = Vertex.Tbl.create 64 and by_color = Hashtbl.create 16 in
+  List.iter
+    (fun (_, d) ->
+      List.iter
+        (fun v ->
+          if not (Vertex.Tbl.mem number v) then begin
+            let c = Vertex.color v in
+            let n, members =
+              Option.value (Hashtbl.find_opt by_color c) ~default:(0, [])
+            in
+            Vertex.Tbl.add number v n;
+            Hashtbl.replace by_color c (n + 1, v :: members)
+          end)
+        (Complex.vertices d))
+    pairs;
+  let arrays = Hashtbl.create 16 in
+  let candidates c =
+    match Hashtbl.find_opt arrays c with
+    | Some a -> a
+    | None ->
+        let a =
+          match Hashtbl.find_opt by_color c with
+          | Some (_, members) -> Array.of_list (List.rev members)
+          | None -> [||]
+        in
+        Hashtbl.add arrays c a;
+        a
+  in
+  let rows d ids =
+    Array.of_list
+      (List.map
+         (fun s -> Array.of_list (List.map (Vertex.Tbl.find number) (Simplex.vertices s)))
+         (Complex.simplices_with_ids ids d))
+  in
+  solve_instance ?node_limit ?should_stop ~candidates
+    (List.map (fun (p, d) -> (p, rows d)) pairs)
 
 let task_in_model ?node_limit ?should_stop ?inputs model task ~rounds =
   let inputs =
@@ -239,9 +231,31 @@ let min_rounds ?node_limit ?inputs ?(max_rounds = 6) model task =
   in
   scan 0
 
+(* The local task Π_{τ,σ} (Definition 1) straight from the shared
+   frame of σ: a face τ' of dimension ≥ 1 allows the rows of
+   proj_{ID(τ')}(Δ(σ)), and a solo face {v} allows v alone, which the
+   assembly applies as a pin.  Candidates are numbered as the frame
+   numbers them, so the CSP, its search and the witness are those of
+   [decide] on [Local_task.make task ~sigma ~tau]. *)
 let local_task_solvable ?node_limit ?should_stop ~one_round task ~sigma ~tau =
-  let local = Local_task.make task ~sigma ~tau in
-  decide ?node_limit ?should_stop
-    ~inputs:(Simplex.faces tau)
-    ~protocol:(fun tau' -> Complex.of_facets (one_round tau'))
-    ~delta:(Task.delta local) ()
+  let frame = Task.frame task sigma in
+  if not (Delta_frame.admits frame tau) then
+    invalid_arg
+      "Solvability.local_task_solvable: tau is not a chromatic set of V(Delta(sigma))";
+  let rows tau' =
+    match Simplex.vertices tau' with
+    | [ v ] -> (
+        let k = Option.get (Delta_frame.index frame v) in
+        function [ c ] when c = Vertex.color v -> [| [| k |] |] | _ -> [||])
+    | _ ->
+        let within = Simplex.ids tau' in
+        fun ids ->
+          if List.for_all (fun c -> List.mem c within) ids then
+            Delta_frame.rows frame ids
+          else [||]
+  in
+  solve_instance ?node_limit ?should_stop
+    ~candidates:(Delta_frame.candidates frame)
+    (List.map
+       (fun tau' -> (Complex.of_facets (one_round tau'), rows tau'))
+       (Simplex.faces tau))

@@ -63,4 +63,9 @@ val local_task_solvable :
 (** One-round solvability of the local task [Π_{τ,σ}] — the membership
     test of Definition 2.  [one_round] produces the facets of the
     one-round protocol complex of the model under consideration (plain
-    or augmented). *)
+    or augmented).
+
+    The CSP is assembled from [Task.frame task sigma], which every τ of
+    the same σ shares, with the solo faces of τ pinned; its verdict and
+    witness are those of {!decide} on [Local_task.make task ~sigma ~tau].
+    @raise Invalid_argument when τ fails {!Local_task.is_valid_tau}. *)

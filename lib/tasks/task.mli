@@ -13,15 +13,23 @@ type t = {
   delta : Simplex.t -> Complex.t;
       (** [Δ(σ)]: the output simplices legal for input [σ], as a
           complex whose facets carry exactly the colors of [σ]. *)
+  frame : Simplex.t -> Delta_frame.t;
+      (** [Δ(σ)] compiled for the local-task CSPs of [σ]. *)
 }
 
 val make :
   name:string -> arity:int -> inputs:Complex.t Lazy.t ->
   outputs:Complex.t Lazy.t -> delta:(Simplex.t -> Complex.t) -> t
+(** Memoizes [delta] per σ, and beside it the frame of each σ
+    requested through {!frame}. *)
 
 val inputs : t -> Complex.t
 val outputs : t -> Complex.t
 val delta : t -> Simplex.t -> Complex.t
+
+val frame : t -> Simplex.t -> Delta_frame.t
+(** [Delta_frame.make σ (delta t σ)], compiled once per (task, σ) and
+    shared by every caller and domain. *)
 
 val input_simplices : t -> Simplex.t list
 (** Every simplex of the input complex (facets and faces); the
